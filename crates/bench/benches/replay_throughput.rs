@@ -7,9 +7,11 @@
 //!
 //! * `record` — live simulation with a `TraceWriter` attached, streaming
 //!   a `.agtrace` file. The reported e2e MB/s includes the simulation
-//!   itself, which dominates; `encode` isolates the codec.
-//! * `encode` — pure encoder: the decoded reference stream re-encoded
-//!   through a `TraceWriter` into memory (no simulation, no disk).
+//!   itself, which dominates; `capture` leaves the simulation out.
+//! * `capture` — pipelined capture: the decoded reference stream
+//!   delivered to a `TraceWriter` over memory, timed from creation
+//!   through `finish`, so the encoder thread's join is inside the
+//!   measurement (no simulation, no disk).
 //! * `live_summary` — the plain live run the replay path competes with;
 //! * `replay_summary` — `RunSummary` rebuilt from the trace file alone,
 //!   serial (`jobs = 1`) and parallel (`jobs = 0`, one per CPU);
@@ -69,15 +71,15 @@ fn main() {
         record_mb_s
     );
 
-    // Decode the stream once so the pure encoder can be timed without
-    // the simulation or the decoder in the loop.
+    // Decode the stream once so capture can be timed without the
+    // simulation or the decoder in the loop.
     let collected = Rc::new(RefCell::new(Collect::default()));
     let buf = TraceBuffer::open(&path).expect("open trace");
     let outcome = buf
         .replay(&[collected.clone() as SharedSink], 1)
         .expect("decode for encoder bench");
     let refs = std::mem::take(&mut collected.borrow_mut().refs);
-    let enc = group.bench("encode (pure codec, in memory)", 5, || {
+    let enc = group.bench("capture (pipelined encode, in memory)", 5, || {
         let mut w = TraceWriter::new(Vec::new(), &outcome.label).expect("writer");
         for r in &refs {
             w.append(r);
@@ -93,8 +95,8 @@ fn main() {
         w.finish(&outcome.directory, &outcome.baseline)
             .expect("finish")
     };
-    let encode_mb_s = enc_stats.file_bytes as f64 / 1e6 / enc.best().as_secs_f64();
-    println!("encode: {encode_mb_s:.1} MB/s (codec only)");
+    let capture_mb_s = enc_stats.file_bytes as f64 / 1e6 / enc.best().as_secs_f64();
+    println!("capture: {capture_mb_s:.1} MB/s (pipelined encode, join included)");
 
     let live = group.bench("live run (summary only)", 5, || {
         engine::run(workload, &config)
@@ -154,7 +156,7 @@ fn main() {
         .field_u64("decode_cpus", cpus as u64)
         .field_f64("bytes_per_record", stats.bytes_per_record())
         .field_f64("record_mb_per_sec", record_mb_s)
-        .field_f64("encode_mb_per_sec", encode_mb_s)
+        .field_f64("capture_mb_per_sec", capture_mb_s)
         .field_f64("decode_mb_per_sec", decode_mb_s)
         .field_f64("decode_mb_per_sec_parallel", decode_mb_s_par)
         .field_f64("replay_vs_live_speedup", speedup)

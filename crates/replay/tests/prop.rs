@@ -8,7 +8,13 @@
 //! reproducibly: every assertion carries the seed that produced it.
 
 use agave_replay::codec::{decode_records, get_varint, put_varint, unzigzag, zigzag, CoderState};
-use agave_trace::{NameId, Pid, RefKind, Reference, Tid};
+use agave_replay::{TraceBuffer, TraceWriter};
+use agave_trace::{
+    CounterSnapshot, NameDirectory, NameId, Pid, RefKind, Reference, ReferenceSink, SharedSink,
+    Tid, Tracer,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The classic xorshift64 generator — deterministic, seedable, and more
 /// than random enough to exercise codec branches.
@@ -301,5 +307,109 @@ fn record_decoding_rejects_every_truncation_point() {
             "cut {cut}: decoded more records than were encoded"
         );
         assert!(pos <= cut, "cut {cut}: decoder read past the truncation");
+    }
+}
+
+/// A directory naming every pid, tid and region [`random_stream`] can
+/// produce, so a recorded stream passes the replay's footer checks.
+fn stream_directory() -> NameDirectory {
+    let mut t = Tracer::new();
+    let pids: Vec<Pid> = (0..40)
+        .map(|p| t.register_process(&format!("proc-{p}")))
+        .collect();
+    for tid in 0..200 {
+        t.register_thread(pids[tid % pids.len()], &format!("thread-{tid}"));
+    }
+    for region in 0..30 {
+        t.intern_region(&format!("region-{region}"));
+    }
+    t.name_directory()
+}
+
+/// Delivers `refs` through a random mix of `on_reference`, `on_batch`
+/// (1–5000 blocks at a time) and `append` calls.
+fn deliver_randomly(w: &mut TraceWriter<Vec<u8>>, refs: &[Reference], rng: &mut XorShift64) {
+    let mut rest = refs;
+    while let Some(first) = rest.first() {
+        match rng.next() % 3 {
+            0 => {
+                w.on_reference(first);
+                rest = &rest[1..];
+            }
+            1 => {
+                w.append(first);
+                rest = &rest[1..];
+            }
+            _ => {
+                let n = 1 + (rng.next() % 5000) as usize;
+                let (batch, tail) = rest.split_at(n.min(rest.len()));
+                w.on_batch(batch);
+                rest = tail;
+            }
+        }
+    }
+}
+
+/// The bytes one recording of a stream produces, delivered by `deliver`.
+fn recorded_bytes(
+    chunk_records: usize,
+    directory: &NameDirectory,
+    deliver: impl FnOnce(&mut TraceWriter<Vec<u8>>),
+) -> Vec<u8> {
+    let mut w = TraceWriter::with_chunk_records(Vec::new(), "prop", chunk_records).unwrap();
+    deliver(&mut w);
+    w.finish(directory, &CounterSnapshot::default()).unwrap();
+    w.into_output()
+}
+
+#[derive(Default)]
+struct Collect(Vec<Reference>);
+
+impl ReferenceSink for Collect {
+    fn on_reference(&mut self, r: &Reference) {
+        self.0.push(*r);
+    }
+}
+
+#[test]
+fn every_delivery_pattern_records_the_same_decodable_bytes() {
+    let directory = stream_directory();
+    let mut rng = XorShift64::new(0x5eed_3000);
+    // Edge lengths around the writer's 1024-reference hand-off, then
+    // random ones.
+    let mut lens = vec![0, 1, 1023, 1024, 1025, 4097];
+    lens.extend((0..4).map(|_| (rng.next() % 12_000) as usize));
+    for len in lens {
+        let mut refs = random_stream(&mut rng, len);
+        // The writer totals words in a u64; keep spans realistic so the
+        // total cannot overflow.
+        for r in &mut refs {
+            r.words = r.words.min(1 << 24);
+        }
+        for chunk in [1, 7, 512, 4096] {
+            let expected = recorded_bytes(chunk, &directory, |w| {
+                for batch in refs.chunks(Tracer::SINK_BATCH) {
+                    w.on_batch(batch);
+                }
+            });
+            for pattern in 0..3 {
+                let got =
+                    recorded_bytes(chunk, &directory, |w| deliver_randomly(w, &refs, &mut rng));
+                assert!(
+                    got == expected,
+                    "len {len}, chunk {chunk}, pattern {pattern}: delivery changed the bytes"
+                );
+            }
+            let sink = Rc::new(RefCell::new(Collect::default()));
+            let outcome = TraceBuffer::from_vec(expected)
+                .unwrap()
+                .replay(&[sink.clone() as SharedSink], 1)
+                .unwrap();
+            assert_eq!(outcome.records, len as u64, "len {len}, chunk {chunk}");
+            assert!(
+                sink.borrow().0 == refs,
+                "len {len}, chunk {chunk}: decoded stream differs from the input"
+            );
+        }
     }
 }

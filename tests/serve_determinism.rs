@@ -8,7 +8,7 @@
 //! and cache-report JSON against the local replay of the same file.
 
 use agave_core::{all_workloads, record, HierarchyGeometry, SuiteConfig, Workload};
-use agave_serve::{Analysis, Client, ClientError, ServeConfig, Server};
+use agave_serve::{Analysis, ClientError, Daemon, ServeConfig};
 use std::path::PathBuf;
 
 fn find(label: &str) -> Workload {
@@ -37,87 +37,71 @@ fn concurrent_multi_tenant_analyses_are_byte_identical_to_local_replay() {
     let dir = temp_dir("tenants");
     let config = SuiteConfig::quick();
 
-    let server = Server::bind(ServeConfig {
+    // The guard shuts the daemon down even when an assertion below
+    // panics, so a failure fails the test instead of hanging it.
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 4,
         ..ServeConfig::default()
     })
     .unwrap();
-    let addr = server.local_addr().to_string();
 
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
+    std::thread::scope(|tenants| {
+        for label in labels {
+            let client = daemon.client();
+            let path = dir.join(format!("{label}.agtrace"));
+            let config = &config;
+            tenants.spawn(move || {
+                record::record_workload(find(label), config, &path).unwrap();
+                let ack = client.upload(label, &path).unwrap();
+                assert_eq!(ack.label, label);
 
-        // A panicking assertion below must still shut the daemon down,
-        // or the scope's implicit join hangs on a server that never
-        // stops; the shutdown runs before the panic resumes.
-        let checks = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|tenants| {
-                for label in labels {
-                    let addr = addr.clone();
-                    let path = dir.join(format!("{label}.agtrace"));
-                    let config = &config;
-                    tenants.spawn(move || {
-                        record::record_workload(find(label), config, &path).unwrap();
-                        let client = Client::new(addr);
-                        let ack = client.upload(label, &path).unwrap();
-                        assert_eq!(ack.label, label);
+                // Served summary vs local replay of the same file.
+                let served = client.analyze(label, &Analysis::Summary).unwrap();
+                let local = record::replay_trace_summary(&path, 1).unwrap().to_json();
+                assert_eq!(served, local, "{label}: served summary diverged");
 
-                        // Served summary vs local replay of the same file.
-                        let served = client.analyze(label, &Analysis::Summary).unwrap();
-                        let local = record::replay_trace_summary(&path, 1).unwrap().to_json();
-                        assert_eq!(served, local, "{label}: served summary diverged");
+                // Served cache report vs local replay through the
+                // same preset.
+                let served = client
+                    .analyze(label, &Analysis::Cache("tiny".to_owned()))
+                    .unwrap();
+                let geometry = HierarchyGeometry::preset("tiny").unwrap();
+                let local = record::replay_trace_cache(&path, geometry, 1)
+                    .unwrap()
+                    .to_json();
+                assert_eq!(served, local, "{label}: served cache report diverged");
 
-                        // Served cache report vs local replay through the
-                        // same preset.
-                        let served = client
-                            .analyze(label, &Analysis::Cache("tiny".to_owned()))
-                            .unwrap();
-                        let geometry = HierarchyGeometry::preset("tiny").unwrap();
-                        let local = record::replay_trace_cache(&path, geometry, 1)
-                            .unwrap()
-                            .to_json();
-                        assert_eq!(served, local, "{label}: served cache report diverged");
-
-                        // The sketch is served JSON too; spot-check its exact
-                        // totals against the upload acknowledgment.
-                        let sketch = client.analyze(label, &Analysis::Sketch).unwrap();
-                        assert!(sketch.contains(&format!("\"words\":{}", ack.words)));
-                    });
-                }
+                // The sketch is served JSON too; spot-check its exact
+                // totals against the upload acknowledgment.
+                let sketch = client.analyze(label, &Analysis::Sketch).unwrap();
+                assert!(sketch.contains(&format!("\"words\":{}", ack.words)));
             });
-
-            let client = Client::new(addr.clone());
-            let listed = client.list().unwrap();
-            let mut names: Vec<&str> = labels.to_vec();
-            names.sort_unstable();
-            assert_eq!(
-                listed.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
-                names,
-                "every tenant's session must be listed, sorted"
-            );
-
-            // An unknown preset errors without disturbing the server.
-            let err = client
-                .analyze(labels[0], &Analysis::Cache("no-such-preset".to_owned()))
-                .unwrap_err();
-            assert!(matches!(err, ClientError::Server(_)), "got {err}");
-            listed
-        }));
-
-        let client = Client::new(addr.clone());
-        client.shutdown().unwrap();
-        let stats = daemon.join().unwrap();
-        let listed = match checks {
-            Ok(listed) => listed,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        assert_eq!(stats.uploads, labels.len() as u64);
-        assert!(stats.analyses >= 3 * labels.len() as u64);
-        assert_eq!(
-            stats.bytes_ingested,
-            listed.iter().map(|s| s.file_bytes).sum::<u64>()
-        );
+        }
     });
+
+    let client = daemon.client();
+    let listed = client.list().unwrap();
+    let mut names: Vec<&str> = labels.to_vec();
+    names.sort_unstable();
+    assert_eq!(
+        listed.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
+        names,
+        "every tenant's session must be listed, sorted"
+    );
+
+    // An unknown preset errors without disturbing the server.
+    let err = client
+        .analyze(labels[0], &Analysis::Cache("no-such-preset".to_owned()))
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "got {err}");
+
+    let stats = daemon.stop();
+    assert_eq!(stats.uploads, labels.len() as u64);
+    assert!(stats.analyses >= 3 * labels.len() as u64);
+    assert_eq!(
+        stats.bytes_ingested,
+        listed.iter().map(|s| s.file_bytes).sum::<u64>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

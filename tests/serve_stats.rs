@@ -16,7 +16,7 @@
 
 use agave_replay::TraceWriter;
 use agave_serve::{
-    Analysis, Client, ClientError, RecentFilter, ServeConfig, Server, StatsFormat, StatsSample,
+    Analysis, Client, ClientError, Daemon, RecentFilter, ServeConfig, StatsFormat, StatsSample,
 };
 use agave_trace::{RefKind, SharedSink, Tracer};
 use std::cell::RefCell;
@@ -68,35 +68,23 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Runs `test` against a live daemon that has one uploaded session
 /// (`sess`) and one completed summary analysis, then shuts it down.
 ///
-/// The daemon is shut down even when the test body panics: the scoped
-/// daemon thread is joined on unwind, so a panicking test that skipped
-/// SHUTDOWN would otherwise deadlock the whole test binary waiting on
-/// a server that never stops.
+/// The daemon is shut down even when the test body panics: the
+/// [`Daemon`] guard sends SHUTDOWN and joins on unwind, so a failing
+/// assertion fails the test instead of hanging the binary.
 fn with_warm_daemon<T>(tag: &str, test: impl FnOnce(&Client) -> T) -> T {
     let dir = temp_dir(tag);
     let trace = record_fixture(&dir, "fixture");
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 2,
         ..ServeConfig::default()
     })
     .unwrap();
-    let addr = server.local_addr().to_string();
-    let out = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        let client = Client::with_origin(addr.clone(), "it-test");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            client.upload("sess", &trace).unwrap();
-            client.analyze("sess", &Analysis::Summary).unwrap();
-            test(&client)
-        }));
-        client.shutdown().unwrap();
-        daemon.join().unwrap();
-        match result {
-            Ok(out) => out,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    });
+    let client = Client::with_origin(daemon.addr(), "it-test");
+    client.upload("sess", &trace).unwrap();
+    client.analyze("sess", &Analysis::Summary).unwrap();
+    let out = test(&client);
+    daemon.stop();
     std::fs::remove_dir_all(&dir).ok();
     out
 }

@@ -10,7 +10,7 @@
 
 use agave_analysis::{sweep_path, GridSpec};
 use agave_core::{all_workloads, record, HierarchyGeometry, SuiteConfig, Workload};
-use agave_serve::{Client, ClientError, ServeConfig, Server};
+use agave_serve::{ClientError, Daemon, ServeConfig};
 use std::path::{Path, PathBuf};
 
 fn find(label: &str) -> Workload {
@@ -75,37 +75,32 @@ fn sweep_output_is_independent_of_jobs() {
 fn served_sweep_is_byte_identical_to_local_sweep() {
     let path = record_trace("served", "countdown.main");
     let grid_spec = "size=8k,16k:assoc=2:line=32";
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 2,
         ..ServeConfig::default()
     })
     .unwrap();
-    let addr = server.local_addr().to_string();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        let client = Client::new(addr.clone());
-        client.upload("swept", &path).unwrap();
+    let client = daemon.client();
+    client.upload("swept", &path).unwrap();
 
-        let served = client.sweep("swept", grid_spec).unwrap();
-        let grid = GridSpec::parse(grid_spec).unwrap();
-        // Local runs with a different job count than the server's —
-        // byte-identity across the wire *and* across parallelism.
-        let local = sweep_path(Path::new(&path), &grid, 4).unwrap().to_json();
-        assert_eq!(served, local, "served SWEEP diverged from local sweep");
+    let served = client.sweep("swept", grid_spec).unwrap();
+    let grid = GridSpec::parse(grid_spec).unwrap();
+    // Local runs with a different job count than the server's —
+    // byte-identity across the wire *and* across parallelism.
+    let local = sweep_path(Path::new(&path), &grid, 4).unwrap().to_json();
+    assert_eq!(served, local, "served SWEEP diverged from local sweep");
 
-        let err = client
-            .sweep("swept", "size=16k:assoc=3:line=32")
-            .unwrap_err();
-        assert!(
-            matches!(&err, ClientError::Server(m) if m.contains("power")),
-            "bad cell must name the constraint, got {err}"
-        );
-        let err = client.sweep("missing", grid_spec).unwrap_err();
-        assert!(matches!(err, ClientError::Server(_)), "got {err}");
+    let err = client
+        .sweep("swept", "size=16k:assoc=3:line=32")
+        .unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server(m) if m.contains("power")),
+        "bad cell must name the constraint, got {err}"
+    );
+    let err = client.sweep("missing", grid_spec).unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "got {err}");
 
-        client.shutdown().unwrap();
-        daemon.join().unwrap();
-    });
+    daemon.stop();
     std::fs::remove_file(&path).ok();
 }
