@@ -24,7 +24,7 @@
 use agave_bench::{Group, HotpathReport};
 use agave_core::{record, AppId, SuiteConfig, Workload};
 use agave_replay::TraceWriter;
-use agave_serve::{Analysis, Client, ServeConfig, Server, SketchSink};
+use agave_serve::{Analysis, Daemon, ServeConfig, SketchSink};
 use agave_trace::{json, RefKind, SharedSink, Tracer, XorShift64};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -75,43 +75,35 @@ fn analyze_fanout(
     expected: &str,
     records: u64,
 ) {
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 0,
         queue_cap: ANALYZE_CLIENTS,
         ..ServeConfig::default()
     })
     .expect("bind");
-    let addr = server.local_addr().to_string();
-    let (stats, sample, total) = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        Client::new(addr.clone())
-            .upload("shared", trace)
-            .expect("upload");
-        let total = (ANALYZE_CLIENTS * ANALYZE_REQUESTS_EACH) as u64;
-        let sample = group.bench(
-            &format!("{ANALYZE_CLIENTS} clients x {ANALYZE_REQUESTS_EACH} summary analyses"),
-            3,
-            || {
-                std::thread::scope(|clients| {
-                    for _ in 0..ANALYZE_CLIENTS {
-                        let addr = addr.clone();
-                        clients.spawn(move || {
-                            let client = Client::new(addr);
-                            for _ in 0..ANALYZE_REQUESTS_EACH {
-                                let served = client
-                                    .analyze("shared", &Analysis::Summary)
-                                    .expect("analyze");
-                                assert_eq!(served, expected, "served summary diverged under load");
-                            }
-                        });
-                    }
-                });
-            },
-        );
-        Client::new(addr.clone()).shutdown().expect("shutdown");
-        (daemon.join().expect("daemon"), sample, total)
-    });
+    daemon.client().upload("shared", trace).expect("upload");
+    let total = (ANALYZE_CLIENTS * ANALYZE_REQUESTS_EACH) as u64;
+    let sample = group.bench(
+        &format!("{ANALYZE_CLIENTS} clients x {ANALYZE_REQUESTS_EACH} summary analyses"),
+        3,
+        || {
+            std::thread::scope(|clients| {
+                for _ in 0..ANALYZE_CLIENTS {
+                    let client = daemon.client();
+                    clients.spawn(move || {
+                        for _ in 0..ANALYZE_REQUESTS_EACH {
+                            let served = client
+                                .analyze("shared", &Analysis::Summary)
+                                .expect("analyze");
+                            assert_eq!(served, expected, "served summary diverged under load");
+                        }
+                    });
+                }
+            });
+        },
+    );
+    let stats = daemon.stop();
     assert_eq!(stats.errors, 0, "no request may fail under analyze load");
     println!(
         "analyze fan-out: {:.0} requests/s · {:.1} Mrefs/s served · {} rejects absorbed",
@@ -135,34 +127,28 @@ fn analyze_fanout(
 
 /// 100 concurrent clients uploading distinct sessions.
 fn upload_fanout(report: &mut HotpathReport, trace: &Path) {
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 0,
         queue_cap: UPLOAD_CLIENTS,
         ..ServeConfig::default()
     })
     .expect("bind");
-    let addr = server.local_addr().to_string();
     let file_bytes = std::fs::metadata(trace).expect("trace metadata").len();
-    let (stats, elapsed) = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        let started = Instant::now();
-        std::thread::scope(|clients| {
-            for i in 0..UPLOAD_CLIENTS {
-                let addr = addr.clone();
-                clients.spawn(move || {
-                    Client::new(addr)
-                        .upload(&format!("tenant-{i:03}"), trace)
-                        .expect("upload");
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-        let client = Client::new(addr.clone());
-        assert_eq!(client.list().expect("list").len(), UPLOAD_CLIENTS);
-        client.shutdown().expect("shutdown");
-        (daemon.join().expect("daemon"), elapsed)
+    let started = Instant::now();
+    std::thread::scope(|clients| {
+        for i in 0..UPLOAD_CLIENTS {
+            let client = daemon.client();
+            clients.spawn(move || {
+                client
+                    .upload(&format!("tenant-{i:03}"), trace)
+                    .expect("upload");
+            });
+        }
     });
+    let elapsed = started.elapsed();
+    assert_eq!(daemon.client().list().expect("list").len(), UPLOAD_CLIENTS);
+    let stats = daemon.stop();
     assert_eq!(stats.uploads, UPLOAD_CLIENTS as u64);
     assert_eq!(stats.bytes_ingested, file_bytes * UPLOAD_CLIENTS as u64);
     let mb_s = stats.bytes_ingested as f64 / 1e6 / elapsed.as_secs_f64();
@@ -188,7 +174,7 @@ fn upload_fanout(report: &mut HotpathReport, trace: &Path) {
 /// A tiny saturated server must reject with RETRY — never buffer without
 /// bound — while every client still completes through the retry path.
 fn backpressure(report: &mut HotpathReport, trace: &Path) {
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 1,
         queue_cap: 2,
@@ -197,27 +183,23 @@ fn backpressure(report: &mut HotpathReport, trace: &Path) {
         ..ServeConfig::default()
     })
     .expect("bind");
-    let addr = server.local_addr().to_string();
     let started = Instant::now();
-    let stats = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        std::thread::scope(|clients| {
-            for i in 0..PRESSURE_CLIENTS {
-                let addr = addr.clone();
-                clients.spawn(move || {
-                    let mut client = Client::new(addr);
-                    client.max_retries = 2000;
-                    client
-                        .upload(&format!("pressed-{i:02}"), trace)
-                        .expect("upload under pressure");
-                });
-            }
-        });
-        let client = Client::new(addr.clone());
-        assert_eq!(client.list().expect("list").len(), PRESSURE_CLIENTS);
-        client.shutdown().expect("shutdown");
-        daemon.join().expect("daemon")
+    std::thread::scope(|clients| {
+        for i in 0..PRESSURE_CLIENTS {
+            let mut client = daemon.client();
+            client.max_retries = 2000;
+            clients.spawn(move || {
+                client
+                    .upload(&format!("pressed-{i:02}"), trace)
+                    .expect("upload under pressure");
+            });
+        }
     });
+    assert_eq!(
+        daemon.client().list().expect("list").len(),
+        PRESSURE_CLIENTS
+    );
+    let stats = daemon.stop();
     let elapsed = started.elapsed();
     assert!(
         stats.rejects > 0,
@@ -251,29 +233,23 @@ fn sketch_bounds(group: &mut Group, report: &mut HotpathReport, dir: &Path) {
     let (path, exact) = synthetic_trace(dir);
     let total: u64 = exact.values().sum();
 
-    let server = Server::bind(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         jobs: 2,
         ..ServeConfig::default()
     })
     .expect("bind");
-    let addr = server.local_addr().to_string();
-    let (served, sample) = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.run());
-        let client = Client::new(addr.clone());
-        client.upload("synthetic", &path).expect("upload");
-        let sample = group.bench("sketch analysis of synthetic trace", 3, || {
-            client
-                .analyze("synthetic", &Analysis::Sketch)
-                .expect("sketch")
-        });
-        let served = client
+    let client = daemon.client();
+    client.upload("synthetic", &path).expect("upload");
+    let sample = group.bench("sketch analysis of synthetic trace", 3, || {
+        client
             .analyze("synthetic", &Analysis::Sketch)
-            .expect("sketch");
-        client.shutdown().expect("shutdown");
-        daemon.join().expect("daemon");
-        (served, sample)
+            .expect("sketch")
     });
+    let served = client
+        .analyze("synthetic", &Analysis::Sketch)
+        .expect("sketch");
+    daemon.stop();
 
     // Byte identity: the served sketch is exactly the local one.
     let buf = agave_replay::TraceBuffer::open(&path).expect("open");
@@ -323,30 +299,25 @@ const OVERHEAD_BUDGET_PCT: f64 = 2.0;
 /// Best-of across trials because scheduling noise only adds time.
 fn stats_overhead(report: &mut HotpathReport) {
     let ping_batch = |tracing: bool| -> f64 {
-        let server = Server::bind(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             jobs: 1,
             trace_requests: tracing,
             ..ServeConfig::default()
         })
         .expect("bind");
-        let addr = server.local_addr().to_string();
-        std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| server.run());
-            let client = Client::new(addr.clone());
-            client.ping().expect("warmup ping");
-            let mut best = f64::INFINITY;
-            for _ in 0..OVERHEAD_TRIALS {
-                let started = Instant::now();
-                for _ in 0..OVERHEAD_PINGS {
-                    client.ping().expect("ping");
-                }
-                best = best.min(started.elapsed().as_secs_f64());
+        let client = daemon.client();
+        client.ping().expect("warmup ping");
+        let mut best = f64::INFINITY;
+        for _ in 0..OVERHEAD_TRIALS {
+            let started = Instant::now();
+            for _ in 0..OVERHEAD_PINGS {
+                client.ping().expect("ping");
             }
-            client.shutdown().expect("shutdown");
-            daemon.join().expect("daemon");
-            best
-        })
+            best = best.min(started.elapsed().as_secs_f64());
+        }
+        daemon.stop();
+        best
     };
     let traced = ping_batch(true);
     let untraced = ping_batch(false);

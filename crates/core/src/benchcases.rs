@@ -20,7 +20,7 @@ use crate::{record, run_workload_with_cache, AppId, GridSpec, SuiteConfig, Workl
 use agave_cache::HierarchyGeometry;
 use agave_registry::{harness, BenchCase, Direction, Measurement, RunOpts, Tier};
 use agave_replay::{TraceBuffer, TraceWriter};
-use agave_serve::{Analysis, Client, ServeConfig, Server};
+use agave_serve::{Analysis, Daemon, ServeConfig};
 use agave_trace::{Reference, ReferenceSink, SharedSink};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -363,88 +363,78 @@ impl BenchCase for ServeRoundtrip {
         trace_err("record", record::record_workload(workload, &config, &path))?;
         let file_bytes = io_err("trace metadata", std::fs::metadata(&path))?.len();
 
-        let server = trace_err(
+        let daemon = io_err(
             "bind",
-            Server::bind(ServeConfig {
+            Daemon::start(ServeConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 jobs: 2,
                 queue_cap: SERVE_CLIENTS * 2,
                 ..ServeConfig::default()
             }),
         )?;
-        let addr = server.local_addr().to_string();
         let total = (SERVE_CLIENTS * SERVE_REQUESTS_EACH) as f64;
         let mut out = Vec::new();
-        std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| server.run());
-            let client = Client::new(addr.clone());
-            client.upload("bench", &path).expect("seed upload");
-            for t in harness::trial_times(opts.warmup, opts.trials, || {
-                let client = Client::new(addr.clone());
-                client.upload("bench-upload", &path).expect("timed upload")
-            }) {
-                out.push(Measurement::new(
-                    "upload_mb_per_sec",
-                    "MB/s",
-                    Direction::HigherIsBetter,
-                    file_bytes as f64 / 1e6 / t.as_secs_f64(),
-                ));
-            }
-            for t in harness::trial_times(opts.warmup, opts.trials, || {
-                std::thread::scope(|clients| {
-                    for _ in 0..SERVE_CLIENTS {
-                        let addr = addr.clone();
-                        clients.spawn(move || {
-                            let client = Client::new(addr);
-                            for _ in 0..SERVE_REQUESTS_EACH {
-                                client
-                                    .analyze("bench", &Analysis::Summary)
-                                    .expect("analyze");
-                            }
-                        });
-                    }
-                });
-            }) {
-                out.push(Measurement::new(
-                    "requests_per_sec",
-                    "req/s",
-                    Direction::HigherIsBetter,
-                    total / t.as_secs_f64(),
-                ));
-            }
-            Client::new(addr.clone()).shutdown().expect("shutdown");
-            daemon.join().expect("daemon");
-        });
+        daemon.client().upload("bench", &path).expect("seed upload");
+        for t in harness::trial_times(opts.warmup, opts.trials, || {
+            daemon
+                .client()
+                .upload("bench-upload", &path)
+                .expect("timed upload")
+        }) {
+            out.push(Measurement::new(
+                "upload_mb_per_sec",
+                "MB/s",
+                Direction::HigherIsBetter,
+                file_bytes as f64 / 1e6 / t.as_secs_f64(),
+            ));
+        }
+        for t in harness::trial_times(opts.warmup, opts.trials, || {
+            std::thread::scope(|clients| {
+                for _ in 0..SERVE_CLIENTS {
+                    let client = daemon.client();
+                    clients.spawn(move || {
+                        for _ in 0..SERVE_REQUESTS_EACH {
+                            client
+                                .analyze("bench", &Analysis::Summary)
+                                .expect("analyze");
+                        }
+                    });
+                }
+            });
+        }) {
+            out.push(Measurement::new(
+                "requests_per_sec",
+                "req/s",
+                Direction::HigherIsBetter,
+                total / t.as_secs_f64(),
+            ));
+        }
+        daemon.stop();
 
         // Per-request tracing overhead: best-of serial ping batches
         // with request tracing on vs off. Best-of (not median) because
         // scheduling noise only ever adds time; the minima are the
         // cleanest estimate of the intrinsic cost difference.
         let ping_batch = |tracing: bool| -> Result<f64, String> {
-            let server = trace_err(
+            let daemon = io_err(
                 "bind",
-                Server::bind(ServeConfig {
+                Daemon::start(ServeConfig {
                     addr: "127.0.0.1:0".to_owned(),
                     jobs: 1,
                     trace_requests: tracing,
                     ..ServeConfig::default()
                 }),
             )?;
-            let addr = server.local_addr().to_string();
-            let mut best = f64::INFINITY;
-            std::thread::scope(|scope| {
-                let daemon = scope.spawn(|| server.run());
-                let client = Client::new(addr.clone());
-                for t in harness::trial_times(opts.warmup, opts.trials, || {
-                    for _ in 0..STATS_OVERHEAD_PINGS {
-                        client.ping().expect("ping");
-                    }
-                }) {
-                    best = best.min(t.as_secs_f64());
+            let client = daemon.client();
+            let best = harness::trial_times(opts.warmup, opts.trials, || {
+                for _ in 0..STATS_OVERHEAD_PINGS {
+                    client.ping().expect("ping");
                 }
-                client.shutdown().expect("shutdown");
-                daemon.join().expect("daemon");
-            });
+            })
+            .into_iter()
+            .map(|t| t.as_secs_f64())
+            .fold(f64::INFINITY, f64::min);
+            daemon.stop();
             Ok(best)
         };
         let traced = ping_batch(true)?;

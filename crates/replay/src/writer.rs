@@ -7,11 +7,11 @@
 //! `Vec<u8>` in tests.
 //!
 //! Encoding is pipelined (DESIGN.md §12, "Capture pipeline"): delivery
-//! copies each batch into a recycled buffer and hands it to one encoder
-//! thread the writer owns, over a bounded channel. That thread runs the
-//! delta coder, chunk sealing, checksums and output in arrival order,
-//! so the file is byte-identical to encoding inline while the
-//! simulation no longer waits for any of it.
+//! copies each batch into one of a few recycled buffers and hands it to
+//! one encoder thread the writer owns. That thread runs the delta
+//! coder, chunk sealing, checksums and output in arrival order, so the
+//! file is byte-identical to encoding inline while the simulation no
+//! longer waits for any of it.
 //!
 //! Because [`ReferenceSink::on_batch`] cannot return errors, I/O
 //! failures during the run are *sticky*: the encoder stops consuming and
@@ -28,12 +28,13 @@ use agave_trace::{CounterSnapshot, NameDirectory, Reference, ReferenceSink, Trac
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
-/// Hand-off batches queued for or being encoded by the encoder thread.
-/// With the one being filled, a writer holds at most `IN_FLIGHT + 1`
-/// batch buffers: 160 KiB of references.
+/// Hand-off buffers a writer allocates besides the one being filled,
+/// and so the most batches queued for or being encoded by the encoder
+/// thread: delivery takes a spare before each send. All `IN_FLIGHT + 1`
+/// buffers together hold 160 KiB of references.
 const IN_FLIGHT: usize = 4;
 
 /// References per hand-off: one full tracer sink batch.
@@ -79,7 +80,7 @@ pub struct TraceWriter<W: Write + Send + 'static> {
 
 /// The writer's end of the hand-off.
 struct Pipe<W> {
-    batches: SyncSender<Vec<Reference>>,
+    batches: Sender<Vec<Reference>>,
     /// Encoded batches' buffers, emptied and sent back for reuse.
     spares: Receiver<Vec<Reference>>,
     /// Hand-off buffers allocated so far, at most [`IN_FLIGHT`].
@@ -184,7 +185,7 @@ impl<W: Write + Send + 'static> TraceWriter<W> {
             file_bytes: header.len() as u64,
             error: None,
         };
-        let (batches, inbox) = mpsc::sync_channel(IN_FLIGHT);
+        let (batches, inbox) = mpsc::channel();
         let (recycle, spares) = mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("agtrace-encode".to_owned())

@@ -4,7 +4,8 @@
 //! unwinds before sending one (a failed test assertion, a panicking
 //! client thread) would leave the daemon parked in `accept`, and a join
 //! on it would wait forever. [`Daemon`] sends SHUTDOWN and joins when it
-//! is dropped, so a failure fails fast instead of hanging.
+//! is dropped, so a failure fails fast instead of hanging. The normal
+//! path, [`Daemon::stop`], also checks that SHUTDOWN was acknowledged.
 
 use crate::client::Client;
 use crate::server::{ServeConfig, ServeStats, Server};
@@ -12,7 +13,7 @@ use std::io;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a stop keeps asking for SHUTDOWN before it gives up on the
+/// How long a drop keeps asking for SHUTDOWN before it gives up on the
 /// join and leaves the daemon thread detached.
 const STOP_DEADLINE: Duration = Duration::from_secs(30);
 
@@ -49,42 +50,40 @@ impl Daemon {
     }
 
     /// Sends SHUTDOWN, joins the daemon and returns its [`ServeStats`].
-    /// Panics if the daemon panicked or did not stop in time.
+    /// Panics if SHUTDOWN is not acknowledged or the daemon panicked; on
+    /// that unwind `Drop` still stops and joins the daemon.
     pub fn stop(mut self) -> ServeStats {
-        match self.shut_down() {
-            Some(Ok(stats)) => stats,
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
-            None => panic!(
-                "daemon at {} did not stop within {STOP_DEADLINE:?}",
-                self.addr
-            ),
+        if let Err(e) = self.client().shutdown() {
+            panic!("daemon at {} did not acknowledge SHUTDOWN: {e}", self.addr);
         }
-    }
-
-    /// Asks for SHUTDOWN until the daemon acknowledges it or exits, then
-    /// joins it. `None` if the deadline passed first (the thread is left
-    /// detached) or the daemon was already joined.
-    fn shut_down(&mut self) -> Option<std::thread::Result<ServeStats>> {
-        let thread = self.thread.take()?;
-        let client = self.client();
-        let deadline = Instant::now() + STOP_DEADLINE;
-        while !thread.is_finished() && client.shutdown().is_err() {
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        let thread = self.thread.take().expect("a started daemon has a thread");
+        match thread.join() {
+            Ok(stats) => stats,
+            Err(panic) => std::panic::resume_unwind(panic),
         }
-        Some(thread.join())
     }
 }
 
 impl Drop for Daemon {
+    /// Asks for SHUTDOWN until the daemon acknowledges it or exits, then
+    /// joins it. Past the deadline the thread is left detached. A daemon
+    /// panic is not re-raised: this runs on unwind too.
     fn drop(&mut self) {
-        if self.thread.is_some() && self.shut_down().is_none() {
-            eprintln!(
-                "agave-serve: daemon at {} did not stop within {STOP_DEADLINE:?}; detached",
-                self.addr
-            );
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        let client = self.client();
+        let deadline = Instant::now() + STOP_DEADLINE;
+        while !thread.is_finished() && client.shutdown().is_err() {
+            if Instant::now() >= deadline {
+                eprintln!(
+                    "agave-serve: daemon at {} did not stop within {STOP_DEADLINE:?}; detached",
+                    self.addr
+                );
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(50));
         }
+        thread.join().ok();
     }
 }
