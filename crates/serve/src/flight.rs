@@ -48,6 +48,8 @@ pub struct RequestRecord {
     pub handle_ns: u64,
     /// Whether `handle_ns` crossed the server's `--slow-ms` threshold.
     pub slow: bool,
+    /// Whether the answer came from the server's result cache.
+    pub cached: bool,
 }
 
 impl RequestRecord {
@@ -64,6 +66,7 @@ impl RequestRecord {
             .field_u64("queue_ns", self.queue_ns)
             .field_u64("handle_ns", self.handle_ns)
             .field_bool("slow", self.slow)
+            .field_bool("cached", self.cached)
             .finish()
     }
 }
@@ -212,6 +215,7 @@ mod tests {
             queue_ns: 5,
             handle_ns,
             slow: false,
+            cached: false,
         }
     }
 
@@ -276,7 +280,7 @@ mod tests {
         let json = recorder.recent_json(8, RecentFilter::All);
         assert!(json.starts_with("[{\"seq\":1,\"id\":42,"), "json: {json}");
         assert!(json.contains("\"verb\":\"analyze\""));
-        assert!(json.contains("\"slow\":true"));
+        assert!(json.contains("\"slow\":true,\"cached\":false}"));
         assert_eq!(recorder.recent_json(0, RecentFilter::All), "[]");
     }
 

@@ -20,7 +20,8 @@
 //! - [`store`] — the name-sharded on-disk session registry.
 //! - [`server`] — bounded accept queue (full ⇒ RETRY with a suggested
 //!   back-off, never unbounded buffering), worker pool over
-//!   [`agave_trace::par::parallel_map`], per-request telemetry.
+//!   [`agave_trace::par::parallel_map`], per-request telemetry, and a
+//!   byte-bounded cache of rendered answers keyed by upload and spec.
 //! - [`client`] — the same codec from the dialing side, with
 //!   retry-on-backpressure helpers.
 //! - [`daemon`] — an in-process server on its own thread that is shut

@@ -20,10 +20,12 @@
 //! fanned out across `decode_jobs` workers). Analyses replay from disk
 //! through the same chunked `SINK_BATCH` delivery path as local
 //! replay. Steady-state server memory is
-//! `O(jobs × copy-buffer + queue length + sketch capacity)` regardless
-//! of trace size (validation briefly holds one trace in memory) — the
-//! `serve_load` bench uploads and sketches a trace far larger than the
-//! steady-state bounds to prove it.
+//! `O(jobs × copy-buffer + queue length + sketch capacity)` plus the
+//! result cache's fixed byte budget, regardless of trace size
+//! (validation briefly holds one trace in memory) — the `serve_load`
+//! bench uploads and sketches a trace far larger than the steady-state
+//! bounds to prove it. A repeated ANALYZE or SWEEP is answered from
+//! the `ResultCache` without reading the trace again.
 
 use crate::flight::{FlightRecorder, RequestRecord};
 use crate::protocol::{
@@ -38,12 +40,12 @@ use agave_replay::TraceBuffer;
 use agave_telemetry::metrics::{counter, gauge, histogram, Histogram};
 use agave_telemetry::TelemetrySnapshot;
 use agave_trace::par::{effective_jobs, parallel_map};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How the daemon binds, scales, and pushes back.
@@ -207,6 +209,124 @@ impl ConnQueue {
     }
 }
 
+/// Byte budget of a server's result cache, keys included.
+const RESULT_CACHE_BYTES: usize = 16 << 20;
+
+/// A result-cache key: an upload's spool path and a canonical spec (the
+/// [`Analysis`] `Display` form, or `sweep:<grid>`).
+type ResultKey = (PathBuf, String);
+
+/// What an entry is charged against the budget: its key and body bytes.
+fn entry_cost(key: &ResultKey, body: &[u8]) -> usize {
+    key.0.as_os_str().len() + key.1.len() + body.len()
+}
+
+/// Rendered OK bodies of ANALYZE and SWEEP answers, evicted least
+/// recently used first once they would pass the byte budget.
+///
+/// [`TraceStore::spool_file`] never hands out a path twice and a spool
+/// file is not written after admission, so a key names immutable,
+/// validated bytes and a hit is byte-identical to a miss. Keys name
+/// uploads, not content: the chunk checksum is not collision-resistant,
+/// so a content key would let one tenant forge another's entries
+/// (DESIGN.md §14). There is no single-flight: concurrent identical
+/// misses each render the same bytes, and the first to finish stores
+/// them.
+struct ResultCache {
+    budget: usize,
+    /// Whether to record the `serve.result_cache.*` metrics.
+    traced: bool,
+    state: Mutex<CacheState>,
+}
+
+#[derive(Default)]
+struct CacheState {
+    /// Each entry's body and the tick of its last use.
+    entries: HashMap<ResultKey, (Arc<[u8]>, u64)>,
+    /// Tick of last use → key, least recent first.
+    lru: BTreeMap<u64, ResultKey>,
+    bytes: usize,
+    clock: u64,
+}
+
+impl ResultCache {
+    fn new(budget: usize, traced: bool) -> ResultCache {
+        ResultCache {
+            budget,
+            traced,
+            state: Mutex::new(CacheState::default()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("result cache poisoned")
+    }
+
+    /// The body stored under `key`, which becomes the most recently used.
+    fn get(&self, key: &ResultKey) -> Option<Arc<[u8]>> {
+        let mut state = self.lock();
+        let state = &mut *state;
+        let hit = state.entries.get_mut(key).map(|(body, used)| {
+            let key = state.lru.remove(used).expect("every entry has a tick");
+            state.clock += 1;
+            *used = state.clock;
+            state.lru.insert(state.clock, key);
+            Arc::clone(body)
+        });
+        if self.traced {
+            let hit_or_miss = match hit {
+                Some(_) => "serve.result_cache.hits",
+                None => "serve.result_cache.misses",
+            };
+            counter(hit_or_miss).incr();
+        }
+        hit
+    }
+
+    /// Stores `body` under `key`, evicting until it fits. A body that
+    /// would not fit in the whole budget is not stored.
+    fn insert(&self, key: ResultKey, body: Arc<[u8]>) {
+        let cost = entry_cost(&key, &body);
+        let mut state = self.lock();
+        if cost > self.budget || state.entries.contains_key(&key) {
+            return;
+        }
+        let mut evicted = 0;
+        while state.bytes + cost > self.budget {
+            let (_, old) = state.lru.pop_first().expect("held bytes have entries");
+            let (old_body, _) = state.entries.remove(&old).expect("ticks name entries");
+            state.bytes -= entry_cost(&old, &old_body);
+            evicted += 1;
+        }
+        state.clock += 1;
+        let tick = state.clock;
+        state.lru.insert(tick, key.clone());
+        state.entries.insert(key, (body, tick));
+        state.bytes += cost;
+        if self.traced {
+            counter("serve.result_cache.evictions").add(evicted);
+            gauge("serve.result_cache.bytes").set(state.bytes as u64);
+        }
+    }
+
+    /// Drops every entry of the upload spooled at `path`.
+    fn drop_upload(&self, path: &Path) {
+        let mut state = self.lock();
+        let state = &mut *state;
+        state.entries.retain(|key, (body, used)| {
+            let keep = key.0 != path;
+            if !keep {
+                state.lru.remove(used);
+                state.bytes -= entry_cost(key, body);
+            }
+            keep
+        });
+        if self.traced {
+            gauge("serve.result_cache.bytes").set(state.bytes as u64);
+        }
+    }
+}
+
 /// The multi-tenant replay/analysis daemon.
 pub struct Server {
     listener: TcpListener,
@@ -217,6 +337,7 @@ pub struct Server {
     accept_done: AtomicBool,
     stats: Arc<AtomicStats>,
     flight: FlightRecorder,
+    results: ResultCache,
 }
 
 impl Server {
@@ -229,6 +350,7 @@ impl Server {
             config.flight_capacity,
             config.slow_ms.saturating_mul(1_000_000),
         );
+        let results = ResultCache::new(RESULT_CACHE_BYTES, config.trace_requests);
         Ok(Server {
             listener,
             config,
@@ -238,6 +360,7 @@ impl Server {
             accept_done: AtomicBool::new(false),
             stats: Arc::new(AtomicStats::default()),
             flight,
+            results,
         })
     }
 
@@ -430,6 +553,7 @@ impl Server {
 
         let mut tenant = String::new();
         let mut bytes = 0u64;
+        let mut cached = false;
         let mut is_shutdown = false;
         let response = match verb {
             V_UPLOAD => self.handle_upload(&mut reader, body_len, &mut tenant, &mut bytes),
@@ -450,7 +574,7 @@ impl Server {
                     match decode_analyze(&body) {
                         Ok((name, analysis)) => {
                             tenant = name.clone();
-                            self.handle_analyze(&name, &analysis)
+                            self.handle_analyze(&name, &analysis, &mut cached)
                         }
                         Err(err) => Response::Err(format!("bad analyze request: {err}")),
                     }
@@ -465,7 +589,7 @@ impl Server {
                     match decode_sweep(&body) {
                         Ok((name, grid)) => {
                             tenant = name.clone();
-                            self.handle_sweep(&name, &grid)
+                            self.handle_sweep(&name, &grid, &mut cached)
                         }
                         Err(err) => Response::Err(format!("bad sweep request: {err}")),
                     }
@@ -499,7 +623,7 @@ impl Server {
         if tracing {
             let handle_ns = handle_started.elapsed().as_nanos() as u64;
             self.record_request(
-                &meta, verb, tenant, outcome, bytes, queue_ns, handle_ns, depth,
+                &meta, verb, tenant, outcome, bytes, cached, queue_ns, handle_ns, depth,
             );
         }
         let result = self.respond(&mut writer, response);
@@ -525,6 +649,7 @@ impl Server {
         tenant: String,
         outcome: &'static str,
         bytes: u64,
+        cached: bool,
         queue_ns: u64,
         handle_ns: u64,
         depth: usize,
@@ -545,6 +670,7 @@ impl Server {
             queue_ns,
             handle_ns,
             slow: false,
+            cached,
         });
     }
 
@@ -627,10 +753,14 @@ impl Server {
                     chunks: outcome.record_chunks,
                 };
                 span.set_refs(outcome.words);
-                self.store.insert(SessionMeta {
+                let replaced = self.store.insert(SessionMeta {
                     info: info.clone(),
                     path,
                 });
+                if let Some(replaced) = replaced {
+                    // No lookup can reach the replaced upload any more.
+                    self.results.drop_upload(&replaced);
+                }
                 self.stats.uploads.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_ingested
@@ -673,19 +803,47 @@ impl Server {
             .map_err(|e| e.to_string())
     }
 
-    fn handle_analyze(&self, name: &str, analysis: &Analysis) -> Response {
+    /// Answers `spec` for `session` from the result cache, or renders it
+    /// with `render` and stores the body. Sets `cached` on a hit.
+    ///
+    /// An analysis racing a re-upload of its session may store its entry
+    /// after the replaced upload's entries were dropped. That entry is
+    /// unreachable, since spool paths are never reused, and it ages out
+    /// under the byte bound.
+    fn cached_answer(
+        &self,
+        session: &SessionMeta,
+        spec: String,
+        cached: &mut bool,
+        render: impl FnOnce() -> Result<String, String>,
+    ) -> Result<Arc<[u8]>, String> {
+        let key = (session.path.clone(), spec);
+        if let Some(body) = self.results.get(&key) {
+            *cached = true;
+            return Ok(body);
+        }
+        let body: Arc<[u8]> = render()?.into_bytes().into();
+        self.results.insert(key, Arc::clone(&body));
+        Ok(body)
+    }
+
+    fn handle_analyze(&self, name: &str, analysis: &Analysis, cached: &mut bool) -> Response {
         let Some(session) = self.store.get(name) else {
             return Response::Err(format!("unknown session {name:?}; upload it first"));
         };
-        let mut span = agave_telemetry::Span::enter_labeled("serve analyze", name);
-        match analyze_trace_jobs(&session.path, analysis, self.config.decode_jobs) {
-            Ok(json) => {
-                span.set_refs(session.info.words);
+        let result = self.cached_answer(&session, analysis.to_string(), cached, || {
+            let mut span = agave_telemetry::Span::enter_labeled("serve analyze", name);
+            let json = analyze_trace_jobs(&session.path, analysis, self.config.decode_jobs)?;
+            span.set_refs(session.info.words);
+            Ok(json)
+        });
+        match result {
+            Ok(body) => {
                 self.stats.analyses.fetch_add(1, Ordering::Relaxed);
                 if self.config.trace_requests {
                     counter("serve.analyses").incr();
                 }
-                Response::Ok(json.into_bytes())
+                Response::Ok(body.to_vec())
             }
             Err(err) => Response::Err(format!("analyze {name:?} ({analysis}): {err}")),
         }
@@ -697,21 +855,24 @@ impl Server {
     /// one request hogging every core) and the output is identical for
     /// any job count, so the served JSON equals a local
     /// `agave sweep --json`.
-    fn handle_sweep(&self, name: &str, grid: &str) -> Response {
+    fn handle_sweep(&self, name: &str, grid: &str, cached: &mut bool) -> Response {
         let Some(session) = self.store.get(name) else {
             return Response::Err(format!("unknown session {name:?}; upload it first"));
         };
-        let mut span = agave_telemetry::Span::enter_labeled("serve sweep", name);
-        let result = GridSpec::parse(grid)
-            .and_then(|g| agave_analysis::sweep_path(&session.path, &g, self.config.decode_jobs));
+        let result = self.cached_answer(&session, format!("sweep:{grid}"), cached, || {
+            let mut span = agave_telemetry::Span::enter_labeled("serve sweep", name);
+            let grid = GridSpec::parse(grid)?;
+            let report = agave_analysis::sweep_path(&session.path, &grid, self.config.decode_jobs)?;
+            span.set_refs(session.info.words);
+            Ok(report.to_json())
+        });
         match result {
-            Ok(report) => {
-                span.set_refs(session.info.words);
+            Ok(body) => {
                 self.stats.analyses.fetch_add(1, Ordering::Relaxed);
                 if self.config.trace_requests {
                     counter("serve.sweeps").incr();
                 }
-                Response::Ok(report.to_json().into_bytes())
+                Response::Ok(body.to_vec())
             }
             Err(err) => Response::Err(format!("sweep {name:?} ({grid}): {err}")),
         }
@@ -758,4 +919,88 @@ pub fn analyze_trace(path: &Path, analysis: &Analysis) -> Result<String, String>
 /// `jobs` — the parallel reader merges chunks in order.
 pub fn analyze_trace_jobs(path: &Path, analysis: &Analysis, jobs: usize) -> Result<String, String> {
     agave_analysis::analyze_path(path, &analysis.to_string(), jobs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(path: &str, spec: &str) -> ResultKey {
+        (PathBuf::from(path), spec.to_owned())
+    }
+
+    /// A body that makes `key(path, spec)` cost exactly `cost` bytes.
+    fn body(path: &str, spec: &str, cost: usize) -> Arc<[u8]> {
+        vec![b'x'; cost - path.len() - spec.len()].into()
+    }
+
+    fn held(cache: &ResultCache) -> usize {
+        let state = cache.lock();
+        assert_eq!(state.lru.len(), state.entries.len());
+        let sum = state
+            .entries
+            .iter()
+            .map(|(k, (b, _))| entry_cost(k, b))
+            .sum();
+        assert_eq!(state.bytes, sum, "the byte total must match the entries");
+        sum
+    }
+
+    #[test]
+    fn result_cache_never_holds_more_than_its_budget() {
+        let cache = ResultCache::new(1_000, false);
+        let mut rng = agave_trace::XorShift64::new(7);
+        for i in 0..500 {
+            let (path, spec) = (format!("p{}", rng.index(20)), format!("s{i}"));
+            let cost = path.len() + spec.len() + 1 + rng.index(300);
+            cache.insert(key(&path, &spec), body(&path, &spec, cost));
+            assert!(held(&cache) <= 1_000);
+        }
+    }
+
+    #[test]
+    fn result_cache_evicts_least_recently_used_first() {
+        let cache = ResultCache::new(300, false);
+        for spec in ["a", "b", "c"] {
+            cache.insert(key("p", spec), body("p", spec, 100));
+        }
+        assert_eq!(held(&cache), 300);
+        assert!(cache.get(&key("p", "a")).is_some(), "a is now the newest");
+        cache.insert(key("p", "d"), body("p", "d", 100));
+        assert!(cache.get(&key("p", "b")).is_none(), "b was least recent");
+        cache.insert(key("p", "e"), body("p", "e", 150));
+        assert!(cache.get(&key("p", "c")).is_none());
+        assert!(cache.get(&key("p", "a")).is_none());
+        assert!(cache.get(&key("p", "d")).is_some());
+        assert!(cache.get(&key("p", "e")).is_some());
+        assert_eq!(held(&cache), 250);
+    }
+
+    #[test]
+    fn result_cache_does_not_store_a_body_larger_than_its_budget() {
+        let cache = ResultCache::new(300, false);
+        cache.insert(key("p", "a"), body("p", "a", 100));
+        cache.insert(key("p", "big"), body("p", "big", 301));
+        assert!(cache.get(&key("p", "big")).is_none());
+        assert!(
+            cache.get(&key("p", "a")).is_some(),
+            "nothing was evicted for it"
+        );
+        cache.insert(key("p", "fits"), body("p", "fits", 200));
+        assert_eq!(held(&cache), 300);
+    }
+
+    #[test]
+    fn dropping_an_upload_frees_its_entries_bytes() {
+        let cache = ResultCache::new(1_000, false);
+        for spec in ["summary", "sketch", "sweep:size=1k"] {
+            cache.insert(key("old", spec), body("old", spec, 100));
+            cache.insert(key("new", spec), body("new", spec, 100));
+        }
+        assert_eq!(held(&cache), 600);
+        cache.drop_upload(Path::new("old"));
+        assert_eq!(held(&cache), 300);
+        assert!(cache.get(&key("old", "summary")).is_none());
+        assert!(cache.get(&key("new", "summary")).is_some());
+    }
 }

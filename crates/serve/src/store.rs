@@ -94,15 +94,14 @@ impl TraceStore {
     }
 
     /// Registers (or replaces) a session. A replaced session's spool
-    /// file is deleted.
-    pub fn insert(&self, meta: SessionMeta) {
+    /// file is deleted, and its path returned.
+    pub fn insert(&self, meta: SessionMeta) -> Option<PathBuf> {
         let old = self.shards[shard_of(&meta.info.name)]
             .lock()
             .expect("session shard poisoned")
-            .insert(meta.info.name.clone(), meta);
-        if let Some(old) = old {
-            std::fs::remove_file(&old.path).ok();
-        }
+            .insert(meta.info.name.clone(), meta)?;
+        std::fs::remove_file(&old.path).ok();
+        Some(old.path)
     }
 
     /// Looks up a session by name.
@@ -197,10 +196,11 @@ mod tests {
         let second = store.spool_file("same");
         assert_ne!(first, second, "spool paths must be sequence-unique");
         std::fs::write(&second, b"new").unwrap();
-        store.insert(SessionMeta {
+        let replaced = store.insert(SessionMeta {
             info: info("same"),
             path: second.clone(),
         });
+        assert_eq!(replaced.as_ref(), Some(&first));
         assert_eq!(store.len(), 1);
         assert!(!first.exists(), "replaced spool file must be deleted");
         assert!(second.exists());

@@ -38,6 +38,8 @@ pub struct RecentEntry {
     pub handle_ns: u64,
     /// Whether the server marked the request slow.
     pub slow: bool,
+    /// Whether the answer came from the server's result cache.
+    pub cached: bool,
 }
 
 /// One parsed `STATS` JSON snapshot.
@@ -115,6 +117,7 @@ impl StatsSample {
                 queue_ns: u64_field(r, "queue_ns"),
                 handle_ns: u64_field(r, "handle_ns"),
                 slow: matches!(r.get("slow"), Some(Value::Bool(true))),
+                cached: matches!(r.get("cached"), Some(Value::Bool(true))),
             });
         }
         Ok(sample)
@@ -220,7 +223,7 @@ pub fn render_dashboard(
         out.push_str("\nrecent slow/error requests (newest first)\n");
         for r in cur.recent.iter().take(10) {
             out.push_str(&format!(
-                "  #{:<8} {:<8} {:<16} {:<6} {:>10} queued {:>9} ran {:>9}{}\n",
+                "  #{:<8} {:<8} {:<16} {:<6} {:>10} queued {:>9} ran {:>9}{}{}\n",
                 r.id,
                 r.verb,
                 if r.tenant.is_empty() { "-" } else { &r.tenant },
@@ -229,6 +232,7 @@ pub fn render_dashboard(
                 fmt_ns(r.queue_ns),
                 fmt_ns(r.handle_ns),
                 if r.slow { "  SLOW" } else { "" },
+                if r.cached { "  CACHED" } else { "" },
             ));
         }
     }
@@ -256,7 +260,10 @@ mod tests {
             "\"recent\":[{\"seq\":9,\"id\":41,\"origin\":\"agave/7\",",
             "\"verb\":\"analyze\",\"tenant\":\"sess-a\",\"outcome\":\"error\",",
             "\"bytes\":120,\"queue_ns\":1500,\"handle_ns\":2500000,",
-            "\"slow\":true}]}"
+            "\"slow\":true},{\"seq\":8,\"id\":40,\"origin\":\"agave/7\",",
+            "\"verb\":\"analyze\",\"tenant\":\"sess-a\",\"outcome\":\"ok\",",
+            "\"bytes\":4096,\"queue_ns\":120000000,\"handle_ns\":110000000,",
+            "\"slow\":true,\"cached\":true}]}"
         )
         .to_string()
     }
@@ -269,11 +276,13 @@ mod tests {
         let h = sample.histogram("serve.latency.analyze").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.buckets, vec![(11, 2)]);
-        assert_eq!(sample.recent.len(), 1);
+        assert_eq!(sample.recent.len(), 2);
         let r = &sample.recent[0];
         assert_eq!(r.id, 41);
         assert_eq!(r.verb, "analyze");
         assert!(r.slow);
+        assert!(!r.cached, "a record without the field is not cached");
+        assert!(sample.recent[1].cached);
         assert!(StatsSample::parse("not json").is_err());
     }
 
@@ -291,7 +300,8 @@ mod tests {
         assert!(frame.contains("analyze"), "{frame}");
         assert!(frame.contains("p50"), "{frame}");
         assert!(frame.contains("#41"), "{frame}");
-        assert!(frame.contains("SLOW"), "{frame}");
+        assert!(frame.contains("SLOW\n"), "{frame}");
+        assert!(frame.contains("SLOW  CACHED\n"), "{frame}");
         // First poll: totals only, no rate line.
         let first = render_dashboard("x", None, &cur, 0.0);
         assert!(!first.contains("req/s"), "{first}");

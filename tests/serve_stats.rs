@@ -10,6 +10,7 @@
 //!   wire meta into `STATS --recent` flight records.
 //! * Per-verb latency histograms, the queue-wait histogram, and the
 //!   Prometheus exposition all populate from real request traffic.
+//! * Result-cache hits, misses and held bytes show in both formats.
 //!
 //! The metrics registry is process-global, so every test serializes on
 //! one mutex and resets the registry before touching a daemon.
@@ -200,6 +201,52 @@ fn prometheus_format_exposes_the_serve_metrics() {
             ] {
                 assert!(prom.contains(needle), "{needle:?} missing from:\n{prom}");
             }
+        });
+    });
+}
+
+#[test]
+fn result_cache_counters_show_hits_misses_and_held_bytes() {
+    serialized(|| {
+        with_warm_daemon("result-cache", |client| {
+            // The warm-up summary was a miss; this one is a hit.
+            client.analyze("sess", &Analysis::Summary).unwrap();
+            let scrape = || {
+                let body = client
+                    .stats(StatsFormat::Json, 1, RecentFilter::All)
+                    .unwrap();
+                StatsSample::parse(&body).unwrap()
+            };
+            let sample = scrape();
+            assert_eq!(sample.counters["serve.result_cache.hits"], 1);
+            assert_eq!(sample.counters["serve.result_cache.misses"], 1);
+            assert_eq!(sample.counters["serve.result_cache.evictions"], 0);
+            assert!(sample.gauges["serve.result_cache.bytes"] > 0);
+            assert_eq!(sample.recent[0].verb, "analyze");
+            assert!(sample.recent[0].cached, "the hit is marked in its record");
+            let prom = client
+                .stats(StatsFormat::Prom, 0, RecentFilter::All)
+                .unwrap();
+            for needle in [
+                "agave_serve_result_cache_hits 1",
+                "agave_serve_result_cache_misses 1",
+                "agave_serve_result_cache_evictions 0",
+                "# TYPE agave_serve_result_cache_bytes gauge",
+            ] {
+                assert!(prom.contains(needle), "{needle:?} missing from:\n{prom}");
+            }
+
+            // Re-uploading drops the replaced upload's entries, even when
+            // the bytes are the same, so the next summary misses.
+            let dir = temp_dir("result-cache-reupload");
+            let trace = record_fixture(&dir, "fixture");
+            client.upload("sess", &trace).unwrap();
+            assert_eq!(scrape().gauges["serve.result_cache.bytes"], 0);
+            client.analyze("sess", &Analysis::Summary).unwrap();
+            let sample = scrape();
+            assert_eq!(sample.counters["serve.result_cache.misses"], 2);
+            assert!(!sample.recent[0].cached);
+            std::fs::remove_dir_all(&dir).ok();
         });
     });
 }
